@@ -644,26 +644,6 @@ impl EncArena {
         }
     }
 
-    /// Appends block `idx` to a [`QuantFeatureBuf`] in **encoded** form —
-    /// the fused dequantize-assembly path. Int8 blocks land as their raw
-    /// payload bytes plus the block's `(scale, offset)` affine, deferring
-    /// dequantization to the consumer's first-layer GEMV; `f32`/`f16`
-    /// blocks land as (exact) `f32` values. Zero heap allocations once the
-    /// buffer's pools are warm.
-    pub fn push_entry_quant(&self, idx: usize, buf: &mut concorde_ml::QuantFeatureBuf) {
-        assert!(idx < self.entries, "arena entry out of range");
-        match self.enc {
-            ArenaEncoding::F32 | ArenaEncoding::F16 => {
-                buf.push_f32_with(self.stride, |out| self.write_entry(idx, out));
-            }
-            ArenaEncoding::Int8 => {
-                let (scale, offset) = int8_params(self.params.bytes(), idx);
-                let base = idx * self.stride;
-                buf.push_u8_block(&self.data.bytes()[base..base + self.stride], scale, offset);
-            }
-        }
-    }
-
     /// Dequantizes the whole arena (reference values for re-encoding and
     /// error measurement).
     pub fn to_f32_vec(&self) -> Vec<f32> {

@@ -280,30 +280,23 @@ impl TaskOut {
 /// One planned assembly row: the original batch position plus the lookup
 /// indices [`FeatureStore::plan_assembly`] resolved for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AssemblySlot {
+struct AssemblySlot {
     /// Row index in the caller's architecture slice / output buffer.
-    pub row: u32,
+    row: u32,
     /// Data-side memory-configuration index (`d_idx`).
-    pub di: u32,
+    di: u32,
     /// Instruction-side memory-configuration index (`i_idx`).
-    pub ii: u32,
+    ii: u32,
     /// Nearest ROB-grid index — the dominant arena-address component and the
     /// plan's primary intra-`di` sort key.
-    pub rob_idx: u32,
+    rob_idx: u32,
 }
 
 /// Reusable buffer holding a batched-assembly plan (see
-/// [`FeatureStore::plan_assembly`]). Warm reuse allocates nothing.
+/// [`FeatureStore::features_into_many`]). Warm reuse allocates nothing.
 #[derive(Debug, Default)]
 pub struct AssemblyScratch {
     slots: Vec<AssemblySlot>,
-}
-
-impl AssemblyScratch {
-    /// The planned rows in assembly (arena-coherent) order.
-    pub fn slots(&self) -> &[AssemblySlot] {
-        &self.slots
-    }
 }
 
 impl FeatureStore {
@@ -971,7 +964,7 @@ impl FeatureStore {
     }
 
     /// Assembles the ML input vector into `out` with zero heap allocations —
-    /// the hot path under `predict_batch*` and the serving workers.
+    /// the hot path under batched prediction and the serving workers.
     ///
     /// # Panics
     ///
@@ -1039,71 +1032,6 @@ impl FeatureStore {
         debug_assert_eq!(pos, out.len());
     }
 
-    /// Assembles the ML input vector for `arch` in **encoded** form — the
-    /// fused dequantize-assembly path for int8-weight serving.
-    ///
-    /// Walks exactly the [`FeatureStore::features_into`] layout, but int8
-    /// arena blocks are appended as their raw payload bytes plus per-block
-    /// `(scale, offset)` affines instead of being dequantized here; the
-    /// consumer ([`concorde_ml::QuantizedMlp::predict_segments`]) folds
-    /// dequantization and standardization into the first layer's GEMV, so
-    /// an int8-store → int8-model request never materializes the f32
-    /// feature vector. `f32`/`f16` blocks and scalar features land as plain
-    /// `f32` segments (exactly the values `features_into` produces).
-    ///
-    /// The buffer is cleared first and its pools keep their capacity, so a
-    /// warm buffer assembles with zero heap allocations (pinned by
-    /// `tests/fused_alloc.rs`). `buf.materialize()` equals
-    /// [`FeatureStore::features`] bit for bit.
-    pub fn features_quantized_into(
-        &self,
-        arch: &MicroArch,
-        variant: FeatureVariant,
-        buf: &mut concorde_ml::QuantFeatureBuf,
-    ) {
-        let di = self.d_idx(arch.mem);
-        let ii = self.i_idx(arch.mem);
-        self.features_quantized_into_at(arch, variant, buf, di, ii);
-    }
-
-    /// [`FeatureStore::features_quantized_into`] with the
-    /// memory-configuration indices already resolved (see
-    /// [`FeatureStore::plan_assembly`]).
-    pub(crate) fn features_quantized_into_at(
-        &self,
-        arch: &MicroArch,
-        variant: FeatureVariant,
-        buf: &mut concorde_ml::QuantFeatureBuf,
-        di: usize,
-        ii: usize,
-    ) {
-        buf.clear();
-        let s_len = ROB_SWEEP.len();
-        for res in Resource::ALL {
-            let idx = self.entry_idx_with(res, arch, di, ii);
-            self.enc_arena(res).push_entry_quant(idx, buf);
-        }
-        buf.push_f32(self.mispredict_feature(arch.predictor));
-        if variant != FeatureVariant::Base {
-            self.isb_dist.push_entry_quant(0, buf);
-            for d in &self.branch_dists {
-                d.push_entry_quant(0, buf);
-            }
-            self.rob_curve.push_entry_quant(di, buf);
-        }
-        if variant == FeatureVariant::Full {
-            self.exec_lat.push_entry_quant(di, buf);
-            for j in 0..s_len {
-                self.issue_lat.push_entry_quant(di * s_len + j, buf);
-            }
-            for j in 0..s_len {
-                self.commit_lat.push_entry_quant(di * s_len + j, buf);
-            }
-        }
-        buf.push_f32_with(MicroArch::ENCODED_DIM, |out| arch.encode_into(out));
-        debug_assert_eq!(buf.len(), FeatureSchema::dim_for(self.encoding, variant));
-    }
-
     /// Computes the per-arch lookup indices for a batch sharing this store
     /// and orders the rows so assembly walks the arenas coherently.
     ///
@@ -1114,7 +1042,7 @@ impl FeatureStore {
     /// from adjacent arena blocks instead of striding randomly. The plan is
     /// written into `scratch` (cleared first, capacity kept — warm calls
     /// allocate nothing).
-    pub fn plan_assembly(&self, archs: &[MicroArch], scratch: &mut AssemblyScratch) {
+    fn plan_assembly(&self, archs: &[MicroArch], scratch: &mut AssemblyScratch) {
         scratch.slots.clear();
         scratch.slots.reserve(archs.len());
         for (row, arch) in archs.iter().enumerate() {
@@ -1133,8 +1061,8 @@ impl FeatureStore {
     /// Batched [`FeatureStore::features_into`]: assembles one row per
     /// architecture into the row-major `out` buffer (`archs.len() × dim`).
     ///
-    /// Rows land at their original positions, but are *visited* in the
-    /// [`FeatureStore::plan_assembly`] order, with each row's layout math
+    /// Rows land at their original positions, but are *visited* in
+    /// arena-coherent `(d_idx, rob_idx, i_idx)` order, with each row's layout math
     /// resolved once up front — output bits are identical to calling
     /// `features_into` per row.
     ///

@@ -61,7 +61,7 @@ pub mod prelude {
     pub use crate::longrun::{long_program_experiment, LongRunResult};
     pub use crate::metrics::{bucketed, per_program, GroupStats};
     pub use crate::minbound::{analytic_min_bound_cpi, MinBoundEstimator};
-    pub use crate::model::{ConcordePredictor, ModelEncoding, Normalizer, PredictScratch};
+    pub use crate::model::{ConcordePredictor, Normalizer, PredictScratch};
     pub use crate::parallel::{parallel_map, parallel_map_all};
     pub use crate::schema::{BlockGroup, FeatureBlock, FeatureSchema, SCHEMA_VERSION};
     pub use crate::sweep::{pow2_sweep, ReproProfile, SweepConfig};

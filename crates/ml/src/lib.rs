@@ -32,7 +32,6 @@ pub mod kernel;
 pub mod loss;
 pub mod lstm;
 pub mod mlp;
-pub mod qmlp;
 
 pub use adam_vec::AdamVec;
 pub use adamw::{AdamW, HalvingSchedule};
@@ -42,4 +41,3 @@ pub use kernel::{
 pub use loss::{relative_error, squared_error, ErrorStats};
 pub use lstm::{LstmGrads, LstmRegressor};
 pub use mlp::{Linear, Mlp, MlpGrads, MlpScratch};
-pub use qmlp::{QuantFeatureBuf, QuantLinear, QuantScratch, QuantSeg, QuantizedMlp};

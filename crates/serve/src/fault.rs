@@ -3,7 +3,8 @@
 //!
 //! A [`FaultPlan`] names *ordinals* at which each fault point fires: the
 //! N-th batched evaluation panics, the N-th store build panics or stalls,
-//! the N-th TCP reply is dropped mid-connection. Every fault point keeps
+//! the N-th TCP reply is dropped mid-connection, the N-th store build is
+//! held until the test releases it. Every fault point keeps
 //! its own atomic pass counter, so a plan fires the same *number* of faults
 //! at the same *points in the request stream* on every run — which thread
 //! happens to hit a given ordinal is scheduling-dependent, but the
@@ -17,12 +18,18 @@
 //! - **Operators** set `CONCORDE_FAULT_PLAN` in the environment; the service
 //!   parses it at startup. The syntax is `;`-separated `point@ordinals`
 //!   entries: `panic_eval@3`, `panic_build@1,4`, `slow_build@2:50ms`
-//!   (the suffix sets the stall), `drop_reply@5`.
+//!   (the suffix sets the stall), `drop_reply@5`, `hold_build@2`.
+//!
+//! `hold_build` is a latch, not a delay: the chosen build blocks until
+//! [`FaultPlan::release_holds`] is called (dropping the service also
+//! releases it). A test that needs "the pool is busy" as a premise pins the
+//! pool this way instead of betting on a build outlasting the test.
 //!
 //! The default (empty) plan is free on the hot path: each hook is one
 //! `Vec::is_empty` check, no atomics touched.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// One fault point: the 1-based ordinals it fires at, plus the pass counter.
@@ -70,6 +77,10 @@ pub struct FaultPlan {
     slow_build: FirePoint,
     slow_build_delay: Duration,
     drop_reply: FirePoint,
+    hold_build: FirePoint,
+    /// The `hold_build` latch: false until [`FaultPlan::release_holds`].
+    released: Mutex<bool>,
+    release_cv: Condvar,
 }
 
 impl FaultPlan {
@@ -79,6 +90,7 @@ impl FaultPlan {
             && self.panic_build.at.is_empty()
             && self.slow_build.at.is_empty()
             && self.drop_reply.at.is_empty()
+            && self.hold_build.at.is_empty()
     }
 
     /// Arms a panic at the given 1-based batched-evaluation ordinals.
@@ -106,6 +118,20 @@ impl FaultPlan {
         self
     }
 
+    /// Arms a hold at the given 1-based store-build ordinals: each blocks
+    /// until [`FaultPlan::release_holds`].
+    pub fn hold_build_at(mut self, at: Vec<u64>) -> Self {
+        self.hold_build = FirePoint::with(at);
+        self
+    }
+
+    /// Opens the `hold_build` latch: held builds resume, and later hold
+    /// ordinals pass straight through. Idempotent.
+    pub fn release_holds(&self) {
+        *self.released.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        self.release_cv.notify_all();
+    }
+
     /// Hook inside the batched forward pass (under the worker's unwind
     /// guard): panics on a chosen ordinal.
     pub(crate) fn on_eval(&self) {
@@ -114,10 +140,19 @@ impl FaultPlan {
         }
     }
 
-    /// Hook inside a store build (under the build's unwind guard): stalls
-    /// and/or panics on chosen ordinals. One build ordinal drives both
-    /// points, counted independently.
+    /// Hook inside a store build (under the build's unwind guard): holds,
+    /// stalls and/or panics on chosen ordinals. One build ordinal drives
+    /// all three points, counted independently.
     pub(crate) fn on_build(&self) {
+        if self.hold_build.fires() {
+            let mut released = self.released.lock().unwrap_or_else(|e| e.into_inner());
+            while !*released {
+                released = self
+                    .release_cv
+                    .wait(released)
+                    .unwrap_or_else(|e| e.into_inner());
+            }
+        }
         if self.slow_build.fires() {
             std::thread::sleep(self.slow_build_delay);
         }
@@ -181,10 +216,11 @@ impl FaultPlan {
                     plan.slow_build_delay = Duration::from_millis(ms);
                 }
                 "drop_reply" => plan.drop_reply = FirePoint::with(at),
+                "hold_build" => plan.hold_build = FirePoint::with(at),
                 other => {
                     return Err(format!(
                         "`{other}`: unknown fault point \
-                         (panic_eval | panic_build | slow_build | drop_reply)"
+                         (panic_eval | panic_build | slow_build | drop_reply | hold_build)"
                     ))
                 }
             }
@@ -219,15 +255,17 @@ mod tests {
 
     #[test]
     fn parse_roundtrips_the_env_syntax() {
-        let plan =
-            FaultPlan::parse("panic_eval@3; panic_build@1,4; slow_build@2:75ms; drop_reply@6")
-                .unwrap();
+        let plan = FaultPlan::parse(
+            "panic_eval@3; panic_build@1,4; slow_build@2:75ms; drop_reply@6; hold_build@5",
+        )
+        .unwrap();
         assert!(!plan.is_empty());
         assert_eq!(plan.panic_eval.at, [3]);
         assert_eq!(plan.panic_build.at, [1, 4]);
         assert_eq!(plan.slow_build.at, [2]);
         assert_eq!(plan.slow_build_delay, Duration::from_millis(75));
         assert_eq!(plan.drop_reply.at, [6]);
+        assert_eq!(plan.hold_build.at, [5]);
         assert!(FaultPlan::parse("").unwrap().is_empty());
         // Errors: unknown point, missing `@`, bad ordinal, bad stall suffix.
         assert!(FaultPlan::parse("panic_everything@1").is_err());
@@ -235,6 +273,30 @@ mod tests {
         assert!(FaultPlan::parse("panic_eval@0").is_err());
         assert!(FaultPlan::parse("panic_eval@x").is_err());
         assert!(FaultPlan::parse("slow_build@1:fast").is_err());
+    }
+
+    #[test]
+    fn hold_build_blocks_its_ordinal_until_released() {
+        use std::sync::mpsc;
+        use std::sync::Arc;
+        let plan = Arc::new(FaultPlan::default().hold_build_at(vec![2]));
+        assert!(!plan.is_empty());
+        plan.on_build(); // ordinal 1 passes
+        let (tx, rx) = mpsc::channel();
+        let held = {
+            let plan = Arc::clone(&plan);
+            std::thread::spawn(move || {
+                plan.on_build(); // ordinal 2 holds
+                tx.send(()).unwrap();
+            })
+        };
+        // Still held: no completion message while the latch is closed.
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+        plan.release_holds();
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("released build resumes");
+        held.join().unwrap();
+        plan.on_build(); // past the latch, later builds pass
     }
 
     #[test]

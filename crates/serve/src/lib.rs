@@ -52,6 +52,6 @@ pub use http::MetricsServer;
 pub use protocol::{ArchSpec, PredictRequest, PredictResponse, RequestClass};
 pub use server::workload_catalog;
 pub use service::{
-    shed_decision, CacheReport, ClassSlo, MetricsSnapshot, MissPolicy, PredictionService,
-    ServeConfig, ServeError, ServiceStats, SweepScope, MAX_REGION_LEN, MAX_WIRE_RISCV_BUDGET,
+    shed_decision, CacheReport, ClassSlo, MetricsSnapshot, PredictionService, ServeConfig,
+    ServeError, ServiceStats, SweepScope, MAX_REGION_LEN, MAX_WIRE_RISCV_BUDGET,
 };

@@ -10,15 +10,15 @@
 //!
 //! - **Hit** → one batched MLP forward pass per group through a worker-owned
 //!   scratch arena; the response leaves in microseconds.
-//! - **Miss** (under [`MissPolicy::AsyncPool`], the default) → the group
-//!   *parks*: its jobs are attached to a single-flight in-flight entry for
-//!   the key and the build is queued to the dedicated precompute pool. The
-//!   worker moves straight on to the next batch, so **a cold region never
-//!   stalls the hit path**. Concurrent misses on the same key coalesce onto
-//!   the one in-flight build instead of each computing (or each blocking).
-//!   When the store lands in the cache, the parked jobs are re-enqueued at
-//!   the front of the request queue and complete as ordinary hits (reported
-//!   with `cached: false` — their store was built on demand).
+//! - **Miss** → the group *parks*: its jobs are attached to a single-flight
+//!   in-flight entry for the key and the build is queued to the dedicated
+//!   precompute pool. The worker moves straight on to the next batch, so
+//!   **a cold region never stalls the hit path**. Concurrent misses on the
+//!   same key coalesce onto the one in-flight build instead of each
+//!   computing (or each blocking). When the store lands in the cache, the
+//!   parked jobs are re-enqueued at the front of the request queue and
+//!   complete as ordinary hits (reported with `cached: false` — their store
+//!   was built on demand).
 //! - **Miss under load** (with [`ServeConfig::miss_slo`] or a per-request
 //!   `deadline_ms`) → if the projected wait (pool backlog × the observed
 //!   per-build latency EWMA, see [`shed_decision`]) exceeds the deadline,
@@ -26,10 +26,6 @@
 //!   min-bound CPI computed directly from the trace (no store build),
 //!   flagged `{"approx": true, "reason": "shed"}`. The exact build still
 //!   runs, so follow-up queries get exact cache hits.
-//! - **Miss** (under [`MissPolicy::Inline`]) → the worker that took the
-//!   batch builds the store itself, blocking its batch — the pre-pool
-//!   behavior, kept as the baseline the `serve_cold_warm` bench compares
-//!   against.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -43,11 +39,10 @@ use concorde_core::cache::{
 };
 use concorde_core::features::FeatureStore;
 use concorde_core::minbound::MinBoundEstimator;
-use concorde_core::model::{ConcordePredictor, ModelEncoding, PredictScratch};
+use concorde_core::model::{ConcordePredictor, PredictScratch};
 use concorde_core::schema::{FeatureSchema, SCHEMA_VERSION};
 use concorde_core::sweep::{ReproProfile, SweepConfig};
 use concorde_cyclesim::MicroArch;
-use concorde_ml::QuantizedMlp;
 use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultPlan;
@@ -77,18 +72,6 @@ pub enum SweepScope {
     /// A minimal per-architecture sweep: cheap precompute, but the store is
     /// only reusable for queries that quantize onto the same grid.
     PerArch,
-}
-
-/// What a worker does with a batch group whose feature store is not cached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MissPolicy {
-    /// Park the group on a single-flight in-flight entry and hand the build
-    /// to the dedicated precompute pool; the worker keeps serving hits.
-    #[default]
-    AsyncPool,
-    /// Build the store inline on the worker that took the batch, blocking
-    /// it (the pre-pool behavior; the bench baseline).
-    Inline,
 }
 
 /// Per-class miss-wait SLOs (`--slo interactive=25,batch=500`, milliseconds).
@@ -167,10 +150,8 @@ pub struct ServeConfig {
     /// ([`FeatureStore::approx_bytes`] accounting).
     pub cache_bytes: usize,
     /// Dedicated precompute-pool threads for cache misses
-    /// (0 = half the cores, at least 1). Unused under [`MissPolicy::Inline`].
+    /// (0 = half the cores, at least 1).
     pub precompute_workers: usize,
-    /// What a worker does with a batch group whose store is not cached.
-    pub miss_policy: MissPolicy,
     /// Concurrent TCP connections accepted before new ones get a typed
     /// `busy` error (min 1).
     pub max_connections: usize,
@@ -190,19 +171,12 @@ pub struct ServeConfig {
     /// runs and lands in the cache for later requests. A per-request
     /// `deadline_ms` overrides this default. `None` (the default) disables
     /// shedding — misses park until their store lands, exactly the pre-SLO
-    /// behavior. Only meaningful under [`MissPolicy::AsyncPool`].
+    /// behavior.
     pub miss_slo: Option<Duration>,
     /// Per-class miss-wait SLOs (`--slo`): a middle resolution tier between
     /// a request's own `deadline_ms` and the server-wide
     /// [`ServeConfig::miss_slo`]. Empty by default (per-class QoS off).
     pub class_slo: ClassSlo,
-    /// Weight encoding the inference tier computes with
-    /// (`--model-encoding`). [`ModelEncoding::Int8`] quantizes the trained
-    /// model once at startup and evaluates groups through the fused
-    /// dequantize-assembly path ([`ConcordePredictor::predict_quantized`]);
-    /// prediction drift vs `f32` is bounded `< 5%` (same contract as int8
-    /// *store* encoding, and the two compose).
-    pub model_encoding: ModelEncoding,
     /// Idle-connection reap timeout (`--read-timeout-ms`): a TCP connection
     /// that sends no complete request line for this long is closed. `None`
     /// (the default) never reaps — connections may idle forever, the
@@ -240,13 +214,11 @@ impl Default for ServeConfig {
             cache_shards: 0,
             cache_bytes: 512 << 20,
             precompute_workers: 0,
-            miss_policy: MissPolicy::AsyncPool,
             max_connections: 256,
             sweep: SweepScope::PerArch,
             store_encoding: ArenaEncoding::F32,
             miss_slo: None,
             class_slo: ClassSlo::default(),
-            model_encoding: ModelEncoding::F32,
             read_timeout: None,
             max_line_bytes: 1 << 20,
             fault_plan: None,
@@ -277,8 +249,7 @@ impl ServeConfig {
         }
     }
 
-    /// Precompute-pool threads a service started with this config runs
-    /// (ignored under [`MissPolicy::Inline`]).
+    /// Precompute-pool threads a service started with this config runs.
     pub fn effective_precompute_workers(&self) -> usize {
         if self.precompute_workers > 0 {
             return self.precompute_workers;
@@ -391,7 +362,7 @@ pub struct Metrics {
     queue_wait: [Histogram; N_CLASSES],
     /// Requests per executed batch.
     batch_size: Histogram,
-    /// Feature-store build latency (seconds), pool and inline builds alike.
+    /// Feature-store build latency (seconds).
     store_build: Histogram,
     pub(crate) busy_rejected: AtomicU64,
     pub(crate) conn_active: AtomicUsize,
@@ -534,7 +505,7 @@ pub struct MetricsSnapshot {
     /// instead of triggering their own (single-flight deduplication).
     #[serde(default)]
     pub coalesced: u64,
-    /// Feature-store builds executed (pool or inline).
+    /// Feature-store builds executed by the precompute pool.
     #[serde(default)]
     pub precomputes: u64,
     /// Cache-miss requests answered with the degraded analytic min-bound
@@ -626,10 +597,6 @@ pub struct ServiceStats {
     /// disabled unless a request carries its own `deadline_ms`.
     #[serde(default)]
     pub miss_slo_ms: Option<u64>,
-    /// Model-weight encoding the inference tier computes with
-    /// (`--model-encoding`).
-    #[serde(default)]
-    pub model_encoding: Option<ModelEncoding>,
     /// Active MLP microkernel (`scalar` / `avx2_fma` / `neon`).
     #[serde(default)]
     pub kernel: Option<String>,
@@ -811,9 +778,6 @@ impl Shard {
 pub(crate) struct Shared {
     pub(crate) cfg: ServeConfig,
     model: ConcordePredictor,
-    /// Int8 snapshot of `model`'s MLP, built once at startup when
-    /// `cfg.model_encoding` is [`ModelEncoding::Int8`]; `None` ⇒ serve f32.
-    qmlp: Option<QuantizedMlp>,
     profile: ReproProfile,
     /// Per-worker run-queue shards (see [`Shard`]).
     shards: Vec<Shard>,
@@ -845,9 +809,8 @@ pub(crate) struct Shared {
     /// Arrival stamp for queued builds (the FIFO tie-breaker).
     pre_seq: AtomicU64,
     pre_notify: Condvar,
-    /// Precompute-pool threads serving this engine (0 under
-    /// [`MissPolicy::Inline`]) — the divisor of the shed projected-wait
-    /// estimate.
+    /// Precompute-pool threads serving this engine (at least 1) — the
+    /// divisor of the shed projected-wait estimate.
     n_pool: usize,
     /// Observed per-build latency EWMA (µs, α = 1/4); 0 until the first
     /// build completes, which keeps [`shed_decision`] conservative before
@@ -927,14 +890,7 @@ impl PredictionService {
         // registers its prefix resolver whenever a service starts.
         concorde_riscv::install();
         let n_workers = cfg.effective_workers();
-        let n_pool = match cfg.miss_policy {
-            MissPolicy::AsyncPool => cfg.effective_precompute_workers(),
-            MissPolicy::Inline => 0,
-        };
-        let qmlp = match cfg.model_encoding {
-            ModelEncoding::Int8 => Some(model.quantized()),
-            ModelEncoding::F32 => None,
-        };
+        let n_pool = cfg.effective_precompute_workers();
         let quant_sweep = Arc::new(SweepConfig::quantized());
         let quant_sweep_hash = sweep_content_hash(&quant_sweep);
         // Chaos hooks: an explicit plan from the config wins; otherwise the
@@ -955,7 +911,6 @@ impl PredictionService {
             cache: ShardedStoreCache::new(cfg.effective_cache_shards(), cfg.cache_bytes),
             cfg,
             model,
-            qmlp,
             profile,
             shards: (0..n_workers).map(|_| Shard::new()).collect(),
             queue_len: AtomicUsize::new(0),
@@ -1156,7 +1111,9 @@ impl Drop for PredictionService {
         // Phase 1: stop accepting submissions and drain the batch workers.
         // They only exit once the queue is empty AND no precompute is in
         // flight, so every parked job is re-enqueued and answered first —
-        // the pool must still be alive to land those stores.
+        // the pool must still be alive to land those stores, so a build
+        // held by the fault plan's latch is released first.
+        self.shared.faults.release_holds();
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for s in &self.shared.shards {
             s.cv.notify_all();
@@ -1354,14 +1311,10 @@ pub(crate) fn service_stats(shared: &Shared) -> ServiceStats {
             per_shard: shared.cache.shard_stats(),
         },
         workers: shared.cfg.effective_workers(),
-        precompute_workers: match shared.cfg.miss_policy {
-            MissPolicy::AsyncPool => shared.cfg.effective_precompute_workers(),
-            MissPolicy::Inline => 0,
-        },
+        precompute_workers: shared.n_pool,
         max_connections: shared.cfg.max_connections.max(1),
         store_encoding: Some(shared.cfg.store_encoding),
         miss_slo_ms: shared.cfg.miss_slo.map(|d| d.as_millis() as u64),
-        model_encoding: Some(shared.cfg.model_encoding),
         kernel: Some(concorde_ml::kernel_name().to_string()),
     }
 }
@@ -1389,17 +1342,13 @@ pub(crate) fn prometheus_text(shared: &Shared) -> String {
     let mut w = PromWriter::new();
     w.gauge(
         "concorde_build_info",
-        "Constant 1; labels carry the served feature-schema version, arena/model encodings, and active MLP kernel.",
+        "Constant 1; labels carry the served feature-schema version, arena encoding, and active MLP kernel.",
         &[(
             vec![
                 ("schema_version", SCHEMA_VERSION.to_string()),
                 (
                     "encoding",
                     format!("{:?}", shared.cfg.store_encoding).to_lowercase(),
-                ),
-                (
-                    "model_encoding",
-                    shared.cfg.model_encoding.name().to_string(),
                 ),
                 ("kernel", concorde_ml::kernel_name().to_string()),
             ],
@@ -1456,7 +1405,7 @@ pub(crate) fn prometheus_text(shared: &Shared) -> String {
     );
     w.counter(
         "concorde_precomputes_total",
-        "Feature-store builds executed (pool or inline).",
+        "Feature-store builds executed by the precompute pool.",
         &[(global(), snap.precomputes)],
     );
     w.counter(
@@ -1601,7 +1550,7 @@ pub(crate) fn prometheus_text(shared: &Shared) -> String {
     );
     w.histogram(
         "concorde_store_build_seconds",
-        "Feature-store build latency (pool and inline builds).",
+        "Feature-store build latency.",
         &[(global(), m.store_build.snapshot())],
     );
     w.finish()
@@ -1715,8 +1664,8 @@ fn collect_batch(shared: &Shared, wid: usize, batch: &mut Vec<Job>) {
 }
 
 /// Per-worker reusable buffers: batch/group staging plus the full
-/// prediction scratch ([`PredictScratch`]: MLP activations, quantized
-/// feature buffer, assembly plan, dedup tables). Warm after the first
+/// prediction scratch ([`PredictScratch`]: MLP activations, assembly plan,
+/// dedup tables). Warm after the first
 /// batch, so steady-state serving allocates nothing per request.
 #[derive(Default)]
 struct WorkerScratch {
@@ -2021,72 +1970,23 @@ fn note_group_hit(shared: &Shared, jobs: &[(Job, MicroArch)]) {
 }
 
 fn run_group(shared: &Shared, group: &mut Group, scratch: &mut WorkerScratch) {
-    if matches!(shared.cfg.miss_policy, MissPolicy::AsyncPool) {
-        match shared.cache.get(&group.key) {
-            Some(store) => {
-                note_group_hit(shared, &group.jobs);
-                eval_group(shared, &store, &group.jobs, scratch, true);
-                group.jobs.clear();
-            }
-            // Miss: park the whole group on the key's single-flight entry
-            // and move on — this worker never blocks on the build. The cold
-            // path owns its allocations (key clone is inline, the job list
-            // moves into the registry).
-            None => {
-                let key = group.key.clone();
-                let sweep = Arc::clone(&group.sweep);
-                let jobs = std::mem::take(&mut group.jobs);
-                park_group(shared, key, sweep, jobs, scratch);
-            }
+    match shared.cache.get(&group.key) {
+        Some(store) => {
+            note_group_hit(shared, &group.jobs);
+            eval_group(shared, &store, &group.jobs, scratch);
+            group.jobs.clear();
         }
-        return;
-    }
-    let key = &group.key;
-    let sweep = &group.sweep;
-    let jobs = &group.jobs;
-
-    // Inline policy: fetch-or-build on this worker (the baseline path).
-    // A panic anywhere in the analytic stage must not kill the worker
-    // thread (a poisoned request could otherwise shrink the pool one
-    // request at a time until the service wedges): isolate the build,
-    // answer the group's requests with an error, and keep serving.
-    // Evaluation itself is guarded inside `eval_group`.
-    let (store, was_cached) = match shared.cache.get(key) {
-        Some(s) => {
-            shared.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            (s, true)
-        }
+        // Miss: park the whole group on the key's single-flight entry and
+        // move on — this worker never blocks on the build. The cold path
+        // owns its allocations (key clone is inline, the job list moves
+        // into the registry).
         None => {
-            shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-            let t0 = Instant::now();
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Arc::new(precompute_store(shared, key, sweep))
-            }));
-            match outcome {
-                Ok(store) => {
-                    shared
-                        .metrics
-                        .store_build
-                        .observe(t0.elapsed().as_secs_f64());
-                    shared.metrics.precomputes.fetch_add(1, Ordering::Relaxed);
-                    shared.cache.insert(key.clone(), Arc::clone(&store));
-                    (store, false)
-                }
-                Err(panic) => {
-                    shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    let msg = panic_message(panic);
-                    for (job, _) in jobs {
-                        let us = job.enqueued.elapsed().as_micros() as u64;
-                        respond(shared, job, PredictResponse::internal(job.req.id, &msg, us));
-                    }
-                    group.jobs.clear();
-                    return;
-                }
-            }
+            let key = group.key.clone();
+            let sweep = Arc::clone(&group.sweep);
+            let jobs = std::mem::take(&mut group.jobs);
+            park_group(shared, key, sweep, jobs, scratch);
         }
-    };
-    eval_group(shared, &store, jobs, scratch, was_cached);
-    group.jobs.clear();
+    }
 }
 
 /// One batched forward pass for a group whose store is in hand, with the
@@ -2096,7 +1996,6 @@ fn eval_group(
     store: &Arc<FeatureStore>,
     jobs: &[(Job, MicroArch)],
     scratch: &mut WorkerScratch,
-    was_cached: bool,
 ) {
     let archs = &mut scratch.archs;
     archs.clear();
@@ -2105,17 +2004,7 @@ fn eval_group(
     let outs = &mut scratch.outs;
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         shared.faults.on_eval();
-        match &shared.qmlp {
-            // Int8 serving: fused dequantize-assembly — the store's encoded
-            // blocks feed the quantized first layer directly, never
-            // materializing the f32 feature vector. Both paths dedup
-            // repeated architectures and walk the arena in grid order
-            // (batched assembly), writing into the reused output buffer.
-            Some(qmlp) => shared
-                .model
-                .predict_batch_quantized_into(qmlp, store, archs, predict, outs),
-            None => shared.model.predict_batch_into(store, archs, predict, outs),
-        }
+        shared.model.predict_batch_into(store, archs, predict, outs);
     }));
     match outcome {
         Ok(()) => {
@@ -2129,7 +2018,7 @@ fn eval_group(
                     // A job that parked on this store's build sees a "hit"
                     // only because its own miss triggered the build — report
                     // it as the precompute it was.
-                    PredictResponse::ok(job.req.id, cpi, was_cached && !job.parked, us)
+                    PredictResponse::ok(job.req.id, cpi, !job.parked, us)
                 };
                 respond(shared, job, resp);
             }
@@ -2166,7 +2055,7 @@ fn split_shed(shared: &Shared, jobs: ArchJobs, registers_build: bool) -> (ArchJo
     }
     let ewma_us = shared.build_ewma_us.load(Ordering::Relaxed);
     let backlog = shared.inflight_builds.load(Ordering::SeqCst) + usize::from(registers_build);
-    let per_worker = backlog.div_ceil(shared.n_pool.max(1));
+    let per_worker = backlog.div_ceil(shared.n_pool);
     let mut parked = Vec::new();
     let mut shed = Vec::new();
     for (job, arch) in jobs {
@@ -2378,7 +2267,7 @@ fn park_group(
     if let Some(store) = shared.cache.get(&key) {
         drop(inflight);
         note_group_hit(shared, &jobs);
-        eval_group(shared, &store, &jobs, scratch, true);
+        eval_group(shared, &store, &jobs, scratch);
         return;
     }
     shared.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
@@ -2395,7 +2284,7 @@ fn park_group(
     if parked.is_empty()
         && !shed.iter().any(|(j, _)| j.req.notify)
         && shared.inflight_builds.load(Ordering::SeqCst)
-            >= SPECULATIVE_BACKLOG_MAX.saturating_mul(shared.n_pool.max(1))
+            >= SPECULATIVE_BACKLOG_MAX.saturating_mul(shared.n_pool)
     {
         shared
             .metrics
@@ -2600,7 +2489,7 @@ impl Drop for PrecomputeSlot<'_> {
 
 fn precompute_store(shared: &Shared, key: &FeatureKey, sweep: &SweepConfig) -> FeatureStore {
     // Chaos hook: may stall and/or panic here, inside the caller's unwind
-    // guard (pool loop or inline-build catch).
+    // guard (the pool loop's).
     shared.faults.on_build();
     // Validated at admission; an evicted provider re-resolves
     // deterministically here. Failure (e.g. the backing ELF vanished since)
@@ -2656,7 +2545,6 @@ mod tests {
         assert!(cfg.max_batch > 1);
         assert!(cfg.cache_bytes > 0);
         assert!(cfg.max_connections >= 1);
-        assert_eq!(cfg.miss_policy, MissPolicy::AsyncPool);
         assert_eq!(cfg.miss_slo, None, "shedding must default off");
     }
 

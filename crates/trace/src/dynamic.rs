@@ -423,7 +423,10 @@ mod tests {
         assert!(resolve_registered("test-reg-only:x").is_none());
         assert_eq!(CALLS.load(Ordering::SeqCst), 0);
         resolve_workload("test-reg-only:x").expect("full resolve");
-        assert!(resolve_registered("test-reg-only:x").is_some(), "now cached");
+        assert!(
+            resolve_registered("test-reg-only:x").is_some(),
+            "now cached"
+        );
     }
 
     #[test]

@@ -43,14 +43,14 @@ fn usage_text() -> &'static str {
          concorde serve     [--addr HOST:PORT] [--model PATH] [--save-model PATH]\n             \
          [--profile quick|default] [--train-samples N] [--workers N]\n             \
          [--max-batch N] [--deadline-us N] [--cache-bytes N[k|m|g]] [--cache-shards N]\n             \
-         [--precompute-workers N] [--inline-miss] [--max-conns N] [--miss-slo-ms N]\n             \
+         [--precompute-workers N] [--queue N] [--max-conns N] [--miss-slo-ms N]\n             \
          [--slo CLASS=MS,…] [--metrics-addr HOST:PORT]\n             \
-         [--sweep arch|quantized] [--encoding f32|f16|int8]\n             \
-         [--model-encoding f32|int8] [--preload FILE]…\n             \
+         [--sweep arch|quantized] [--encoding f32|f16|int8] [--preload FILE]…\n             \
          [--read-timeout-ms N] [--max-line-bytes N[k|m|g]] [--dynamic-workloads DIR]\n  \
          concorde predict   <workload> [--addr HOST:PORT] [--arch n1|big] [--set param=value …]\n             \
          [--trace N] [--start N] [--count N] [--deadline-ms N]\n             \
-         [--class interactive|batch] [--notify] [--schema-version N]"
+         [--class interactive|batch] [--notify] [--schema-version N]\n             \
+         [serve options, for the in-process service when --addr is absent]"
 }
 
 fn usage() -> ! {
@@ -61,6 +61,96 @@ fn usage() -> ! {
 fn bail(msg: &str) -> ! {
     eprintln!("error: {msg}\n");
     usage();
+}
+
+/// Flags `serve` accepts, each taking a value. `predict` accepts them too:
+/// without `--addr` it starts the same service in-process. `--cache` is
+/// retired; [`serve_config`] answers it with its replacement.
+const SERVE_FLAGS: &[&str] = &[
+    "--addr",
+    "--model",
+    "--save-model",
+    "--profile",
+    "--train-samples",
+    "--workers",
+    "--queue",
+    "--max-batch",
+    "--deadline-us",
+    "--cache",
+    "--cache-bytes",
+    "--cache-shards",
+    "--precompute-workers",
+    "--max-conns",
+    "--miss-slo-ms",
+    "--slo",
+    "--metrics-addr",
+    "--sweep",
+    "--encoding",
+    "--preload",
+    "--read-timeout-ms",
+    "--max-line-bytes",
+    "--dynamic-workloads",
+];
+
+/// `predict`'s own value-taking flags (on top of [`SERVE_FLAGS`]).
+const PREDICT_FLAGS: &[&str] = &[
+    "--arch",
+    "--set",
+    "--trace",
+    "--start",
+    "--count",
+    "--deadline-ms",
+    "--class",
+    "--schema-version",
+];
+
+/// The flags subcommand `cmd` accepts: value-taking flags (in one or more
+/// lists) and bare switches. `None` for an unknown subcommand.
+fn accepted_flags(
+    cmd: &str,
+) -> Option<(&'static [&'static [&'static str]], &'static [&'static str])> {
+    Some(match cmd {
+        "workloads" => (&[], &["--json"]),
+        "riscv" => (&[&["--max-insts", "--arch"]], &[]),
+        "simulate" | "sweep" => (&[&["--arch", "--len"]], &[]),
+        "bound" => (&[&["--arch", "--len"]], &["--fast"]),
+        "attribute" => (&[&["--len"]], &[]),
+        "precompute" => (
+            &[&[
+                "--out",
+                "--trace",
+                "--start",
+                "--len",
+                "--profile",
+                "--sweep",
+                "--arch",
+                "--encoding",
+            ]],
+            &[],
+        ),
+        "inspect" | "help" | "--help" | "-h" => (&[], &[]),
+        "serve" => (&[SERVE_FLAGS], &[]),
+        "predict" => (&[PREDICT_FLAGS, SERVE_FLAGS], &["--notify"]),
+        _ => return None,
+    })
+}
+
+/// Rejects any `--flag` the subcommand does not accept, so a misspelled or
+/// removed flag is a usage error instead of being silently ignored. The
+/// argument after a value-taking flag is its value and is not checked.
+fn check_flags(args: &[String], valued: &[&[&str]], switches: &[&str]) {
+    let mut i = 1;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if valued.iter().any(|set| set.contains(&a)) {
+            i += 2;
+            continue;
+        }
+        if a.starts_with("--") && !switches.contains(&a) {
+            bail(&format!("unknown flag `{a}` for `concorde {}`", args[0]));
+        }
+        i += 1;
+    }
 }
 
 /// Value of `--flag <value>`, or a usage error naming the flag.
@@ -228,11 +318,6 @@ fn serve_config(args: &[String]) -> ServeConfig {
             .map(|v| parse_bytes("--cache-bytes", v))
             .unwrap_or(defaults.cache_bytes),
         precompute_workers: parse_num(args, "--precompute-workers", 0usize),
-        miss_policy: if args.iter().any(|a| a == "--inline-miss") {
-            MissPolicy::Inline
-        } else {
-            MissPolicy::AsyncPool
-        },
         max_connections: parse_num(args, "--max-conns", defaults.max_connections),
         sweep,
         store_encoding: parse_encoding(args),
@@ -243,33 +328,11 @@ fn serve_config(args: &[String]) -> ServeConfig {
             if ms == 0 {
                 bail("--miss-slo-ms must be > 0 (omit the flag to disable shedding)");
             }
-            if args.iter().any(|a| a == "--inline-miss") {
-                bail(
-                    "--miss-slo-ms requires the async precompute pool; \
-                     --inline-miss builds misses on the batch worker and never sheds",
-                );
-            }
             Duration::from_millis(ms)
         }),
         class_slo: flag_value(args, "--slo")
-            .map(|v| {
-                if args.iter().any(|a| a == "--inline-miss") {
-                    bail(
-                        "--slo requires the async precompute pool; \
-                         --inline-miss builds misses on the batch worker and never sheds",
-                    );
-                }
-                ClassSlo::parse(v).unwrap_or_else(|e| bail(&format!("--slo: {e}")))
-            })
+            .map(|v| ClassSlo::parse(v).unwrap_or_else(|e| bail(&format!("--slo: {e}"))))
             .unwrap_or_default(),
-        model_encoding: match flag_value(args, "--model-encoding") {
-            None => defaults.model_encoding,
-            Some(v) => ModelEncoding::parse(v).unwrap_or_else(|| {
-                bail(&format!(
-                    "unknown --model-encoding `{v}` (expected f32 or int8)"
-                ))
-            }),
-        },
         read_timeout: flag_value(args, "--read-timeout-ms").map(|v| {
             let ms: u64 = v
                 .parse()
@@ -434,6 +497,9 @@ fn main() {
     concorde_riscv::install();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
+    if let Some((valued, switches)) = accepted_flags(cmd) {
+        check_flags(&args, valued, switches);
+    }
     match cmd {
         "riscv" => {
             match args.get(1).map(String::as_str) {
@@ -775,9 +841,8 @@ fn main() {
                 srv
             });
             eprintln!(
-                "[serve] inference: {} kernel, {} weights",
-                concorde_suite::ml::kernel_name(),
-                service.config().model_encoding,
+                "[serve] inference: {} kernel",
+                concorde_suite::ml::kernel_name()
             );
             eprintln!(
                 "[serve] listening on {addr} ({} workers, {} precompute threads); \

@@ -62,9 +62,9 @@ pub mod prelude {
     pub use concorde_ml::{AdamW, ErrorStats, HalvingSchedule, LstmRegressor, Mlp, MlpScratch};
     pub use concorde_riscv::RiscvWorkload;
     pub use concorde_serve::{
-        parse_byte_size, ArchSpec, ByteSizeError, ClassSlo, Client, MetricsServer, MissPolicy,
-        PredictRequest, PredictResponse, PredictionService, RequestClass, ServeConfig,
-        ServiceStats, SweepScope, TcpClient,
+        parse_byte_size, ArchSpec, ByteSizeError, ClassSlo, Client, MetricsServer, PredictRequest,
+        PredictResponse, PredictionService, RequestClass, ServeConfig, ServiceStats, SweepScope,
+        TcpClient,
     };
     pub use concorde_trace::{
         by_id, generate_region, resolve_registered, resolve_workload, sample_region, suite,

@@ -197,15 +197,17 @@ fn wire_dynamic_resolution_is_opt_in_and_confined() {
         resolve_registered(&id).is_none(),
         "a refused id must not have been resolved"
     );
-    assert_eq!(predict(&client, 2, "S5").error, None, "suite ids still serve");
+    assert_eq!(
+        predict(&client, 2, "S5").error,
+        None,
+        "suite ids still serve"
+    );
     drop(service);
 
     // Opted in with the vendored-binaries directory as root: the same id
     // now resolves and serves end to end.
     let cfg = ServeConfig {
-        dynamic_root: Some(
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("riscv-testdata"),
-        ),
+        dynamic_root: Some(std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("riscv-testdata")),
         ..quick_config()
     };
     let service = PredictionService::start(model, profile, cfg);

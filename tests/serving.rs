@@ -558,71 +558,6 @@ fn int8_serving_matches_f32_within_tolerance() {
 }
 
 #[test]
-fn int8_model_serving_equals_direct_fused_prediction() {
-    // `--model-encoding int8` end to end: group evaluation runs the fused
-    // dequantize-assembly path, equals direct `predict_quantized` bitwise,
-    // stays within the 5% drift pin of f32 serving, and the stats report
-    // the encoding + active kernel.
-    let (model, profile) = tiny_service_parts();
-    let direct_model = model.clone();
-    let qmlp = direct_model.quantized();
-    let service = PredictionService::start(
-        model,
-        profile.clone(),
-        ServeConfig {
-            model_encoding: concorde_suite::core::model::ModelEncoding::Int8,
-            ..quick_config()
-        },
-    );
-    let client = service.client();
-    let mut big_spec = ArchSpec::base("big");
-    big_spec.rob = Some(192);
-    for (id, spec) in [(1u64, ArchSpec::base("n1")), (2, big_spec)] {
-        let req = PredictRequest {
-            id,
-            workload: "S5".into(),
-            arch: spec,
-            ..PredictRequest::default()
-        };
-        let resp = client.predict(req.clone()).unwrap();
-        let cpi = resp.cpi.expect("int8-model serving must answer");
-
-        let arch = req.arch.resolve().unwrap();
-        let spec = by_id("S5").unwrap();
-        let full = generate_region(&spec, 0, 0, profile.region_len);
-        let store =
-            FeatureStore::precompute(&[], &full.instrs, &SweepConfig::for_arch(&arch), &profile);
-        let mut buf = concorde_suite::ml::QuantFeatureBuf::default();
-        let mut scratch = concorde_suite::ml::QuantScratch::default();
-        let fused = direct_model.predict_quantized(&qmlp, &store, &arch, &mut buf, &mut scratch);
-        assert_eq!(
-            fused.to_bits(),
-            cpi.to_bits(),
-            "id {id}: served {cpi} != direct fused {fused}"
-        );
-        let f32_direct = direct_model.predict(&store, &arch);
-        assert!(
-            (cpi - f32_direct).abs() / f32_direct < 0.05,
-            "id {id}: int8-model CPI {cpi} drifts >5% from f32 {f32_direct}"
-        );
-    }
-    let stats = service.stats();
-    assert_eq!(
-        stats.model_encoding,
-        Some(concorde_suite::core::model::ModelEncoding::Int8)
-    );
-    assert_eq!(
-        stats.kernel.as_deref(),
-        Some(concorde_suite::ml::kernel_name())
-    );
-    // An f32 service reports its (default) encoding too.
-    assert_eq!(
-        client.model_encoding(),
-        concorde_suite::core::model::ModelEncoding::Int8
-    );
-}
-
-#[test]
 fn stats_report_cache_occupancy_and_bytes() {
     let (model, profile) = tiny_service_parts();
     let service = PredictionService::start(

@@ -1,10 +1,11 @@
 //! SLO-aware miss load-shedding: the shed decision function, the degraded
 //! analytic-answer path, and the exact-vs-approximate answer contract.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use concorde_suite::prelude::*;
-use concorde_suite::serve::shed_decision;
+use concorde_suite::serve::{shed_decision, FaultPlan};
 use proptest::prelude::*;
 
 /// Small but real model + profile shared by the service tests.
@@ -256,6 +257,10 @@ fn cold_storm_is_backstopped_and_shed_answers_are_memoized() {
     // storm hammering ONE key must pay the analytic computation once —
     // repeats are served from the per-key memo bitwise identically.
     let (model, profile) = tiny_service_parts();
+    // The single pool worker's second build (the pin below) blocks on the
+    // fault plan's latch until released, so the pool stays busy through
+    // the storm by construction rather than by a build outlasting it.
+    let plan = Arc::new(FaultPlan::default().hold_build_at(vec![2]));
     let service = PredictionService::start(
         model,
         profile,
@@ -264,28 +269,27 @@ fn cold_storm_is_backstopped_and_shed_answers_are_memoized() {
             max_batch: 1,
             batch_deadline: Duration::from_micros(1),
             precompute_workers: 1,
+            fault_plan: Some(Arc::clone(&plan)),
             ..ServeConfig::default()
         },
     );
     let client = service.client();
 
-    // Seed the EWMA, then pin the single pool worker. Full-length pin in
-    // BOTH profiles: the storm below runs ~40 shed computations (~1s in
-    // debug), and the backlog assertions need the pin to outlast them all.
+    // Seed the EWMA (build 1, answered before the pin is submitted), then
+    // pin the single pool worker: whichever build it starts next is build
+    // 2 and holds, so no store lands until the latch opens.
     client
         .predict(PredictRequest::new(0, "S5", ArchSpec::base("n1")))
         .unwrap();
     let mut long = PredictRequest::new(1, "O1", ArchSpec::base("n1"));
     long.start = 4_096;
-    long.len = 131_072;
+    long.len = 512;
     let long_rx = client.submit(long).unwrap();
 
     // Storm: 40 distinct zero-deadline cold keys. Tiny starts keep each
-    // key's warmup (and so its shed answer and speculative build) cheap,
-    // so the whole storm lands while the pool is still pinned. The first
-    // ~31 register speculative builds; once the backlog passes the
-    // 32-per-worker backstop the rest are answered without queueing
-    // anything.
+    // key's warmup (and so its shed answer) cheap. The first ~31 register
+    // speculative builds; once the backlog passes the 32-per-worker
+    // backstop the rest are answered without queueing anything.
     for i in 0..40u64 {
         let mut req = PredictRequest::new(100 + i, "C1", ArchSpec::base("n1"));
         req.start = i;
@@ -333,7 +337,9 @@ fn cold_storm_is_backstopped_and_shed_answers_are_memoized() {
         "pin build finished mid-hammer — the memo assertions above lost their premise"
     );
 
-    // Drain: the long build plus every registered speculative build lands.
+    // Drain: open the latch; the pin plus every registered speculative
+    // build lands.
+    plan.release_holds();
     let _ = long_rx.recv().unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(120);
     loop {
