@@ -259,6 +259,10 @@ impl TcpClient {
     /// Any socket error.
     pub fn connect(addr: &str) -> std::io::Result<TcpClient> {
         let stream = TcpStream::connect(addr)?;
+        // Each request is one line written at once; without this, a line
+        // sent while the previous one is unacknowledged waits for the
+        // server's delayed ACK.
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(TcpClient {
             reader,
@@ -326,8 +330,8 @@ impl TcpClient {
     }
 
     fn roundtrip_line(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // Line and newline in one write: one segment on a no-delay socket.
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         self.writer.flush()?;
         self.read_reply_line()
     }

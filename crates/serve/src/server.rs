@@ -137,6 +137,10 @@ impl PredictionService {
             // Accepted sockets must block again: the per-connection reader
             // paces itself with read timeouts, not `O_NONBLOCK`.
             stream.set_nonblocking(false)?;
+            // Every reply is one complete line written at once, so Nagle
+            // only delays it: a reply sent while the previous one is still
+            // unacknowledged would wait for the client's delayed ACK.
+            stream.set_nodelay(true)?;
             if active
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
                     (n < limit).then_some(n + 1)
@@ -152,7 +156,7 @@ impl PredictionService {
                     "type": "busy",
                     "max_connections": limit,
                 });
-                let _ = writeln!(stream, "{reply}");
+                let _ = stream.write_all(format!("{reply}\n").as_bytes());
                 continue;
             }
             self.shared
@@ -284,10 +288,12 @@ fn read_bounded_line(
 /// mid-reply, so every line goes out under this lock).
 type SharedWriter = Arc<Mutex<TcpStream>>;
 
-fn write_line(writer: &SharedWriter, line: &str) -> std::io::Result<()> {
+/// Writes `line` and its newline in one `write` (the socket is
+/// `TCP_NODELAY`, so two writes would leave as two segments).
+fn write_line(writer: &SharedWriter, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
     let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
     w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
     w.flush()
 }
 
@@ -303,7 +309,7 @@ fn spawn_upgrade_waiter(rx: mpsc::Receiver<PredictResponse>, writer: SharedWrite
             if let Ok(resp) = rx.recv() {
                 if resp.is_upgrade() {
                     let line = serde_json::to_string(&resp).expect("serialize upgrade");
-                    let _ = write_line(&writer, &line);
+                    let _ = write_line(&writer, line);
                 }
             }
         });
@@ -336,7 +342,7 @@ fn spawn_slot_upgrade_waiter(rx: SlotReceiver, writer: SharedWriter) {
             if resp.is_upgrade() {
                 let mut line = String::new();
                 resp.encode_json_into(&mut line);
-                let _ = write_line(&writer, &line);
+                let _ = write_line(&writer, line);
             }
         });
 }
@@ -390,7 +396,7 @@ fn handle_connection(client: Client, stream: TcpStream) -> std::io::Result<()> {
                     "reason": "oversized",
                     "max_line_bytes": max_line,
                 });
-                let _ = write_line(&writer, &reply.to_string());
+                let _ = write_line(&writer, reply.to_string());
                 break;
             }
         }
@@ -398,7 +404,7 @@ fn handle_connection(client: Client, stream: TcpStream) -> std::io::Result<()> {
             Ok(l) => l,
             Err(e) => {
                 let reply = json!({ "error": format!("malformed JSON: invalid UTF-8: {e}") });
-                let _ = write_line(&writer, &reply.to_string());
+                let _ = write_line(&writer, reply.to_string());
                 break;
             }
         };
@@ -418,7 +424,7 @@ fn handle_connection(client: Client, stream: TcpStream) -> std::io::Result<()> {
                     // but the client sees the connection die first.
                     break;
                 }
-                write_line(&writer, &reply.to_string())?;
+                write_line(&writer, reply.to_string())?;
             }
         }
         // A draining server finishes the in-flight line, answers it, and
@@ -454,7 +460,7 @@ fn handle_fast(
             // the service is shutting down.
             s.reqs.clear();
             let reply = json!({ "error": e.to_string() });
-            return write_line(writer, &reply.to_string());
+            return write_line(writer, reply.to_string());
         }
         Err(ServeError::QueueFull) => {
             // The bulk all-or-nothing reservation did not fit; degrade to

@@ -3,10 +3,11 @@
 //! caching, with misses routed to a dedicated precompute pool.
 //!
 //! Requests enter a bounded FIFO. Each worker drains up to
-//! [`ServeConfig::max_batch`] requests, waiting at most
-//! [`ServeConfig::batch_deadline`] for stragglers (flush-on-size-or-deadline
-//! micro-batching), groups the batch by region feature-store key, and probes
-//! the shared [`ShardedStoreCache`]:
+//! [`ServeConfig::max_batch`] requests and, while other work is still queued,
+//! waits at most [`ServeConfig::batch_deadline`] for stragglers
+//! (flush-on-size-or-deadline micro-batching); a lone request dispatches at
+//! once. It groups the batch by region feature-store key and probes the
+//! shared [`ShardedStoreCache`]:
 //!
 //! - **Hit** → one batched MLP forward pass per group through a worker-owned
 //!   scratch arena; the response leaves in microseconds.
@@ -141,7 +142,9 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Flush a collecting batch at this many requests.
     pub max_batch: usize,
-    /// Flush a collecting batch at this age even if not full.
+    /// Flush a collecting batch at this age even if not full. The window is
+    /// held only while other work is queued; otherwise the batch dispatches
+    /// at once.
     pub batch_deadline: Duration,
     /// Feature-store cache shard count (0 = 8). Each shard has its own lock,
     /// so hot-region lookups don't contend with cold-region insertions.
@@ -295,6 +298,20 @@ pub fn shed_decision(
     (backlog as u128) * u128::from(ewma_us) > u128::from(limit_us)
 }
 
+/// The adaptive-flush decision: should a worker holding a partial batch keep
+/// its straggler window open, or dispatch what it has now?
+///
+/// `queue_len` is the number of jobs still queued across every shard after
+/// the worker drained its own, *including* slots reserved by an in-progress
+/// push (so a submit racing on another connection counts). The window is
+/// held iff it is non-zero: only then is a straggler known to be on its
+/// way. A lone request is dispatched at once instead of waiting out
+/// [`ServeConfig::batch_deadline`], which stays the cap on the window under
+/// load.
+pub(crate) fn hold_for_stragglers(queue_len: usize) -> bool {
+    queue_len > 0
+}
+
 /// Why a submission was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
@@ -338,6 +355,9 @@ pub struct Metrics {
     /// Shed answers, by request class.
     shed: [AtomicU64; N_CLASSES],
     shed_build_skips: AtomicU64,
+    /// Partial batches dispatched before their straggler window ran out
+    /// because nothing else was queued ([`hold_for_stragglers`]).
+    batch_window_skips: AtomicU64,
     /// `{"type":"upgrade"}` follow-up lines pushed (exact answers landing
     /// after a `notify: true` shed reply). Not counted in `completed` — the
     /// primary response already was.
@@ -389,6 +409,7 @@ impl Default for Metrics {
             precomputes: AtomicU64::new(0),
             shed: std::array::from_fn(|_| AtomicU64::new(0)),
             shed_build_skips: AtomicU64::new(0),
+            batch_window_skips: AtomicU64::new(0),
             upgrades: AtomicU64::new(0),
             schema_mismatches: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
@@ -453,6 +474,7 @@ impl Metrics {
             precomputes: self.precomputes.load(Ordering::Relaxed),
             shed: self.shed.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
             shed_build_skips: self.shed_build_skips.load(Ordering::Relaxed),
+            batch_window_skips: self.batch_window_skips.load(Ordering::Relaxed),
             upgrades: self.upgrades.load(Ordering::Relaxed),
             schema_mismatches: self.schema_mismatches.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
@@ -518,6 +540,10 @@ pub struct MetricsSnapshot {
     /// value means a cold storm is outrunning the precompute pool.
     #[serde(default)]
     pub shed_build_skips: u64,
+    /// Partial batches dispatched without waiting out the straggler window,
+    /// because no other work was queued.
+    #[serde(default)]
+    pub batch_window_skips: u64,
     /// `{"type":"upgrade"}` exact-answer follow-ups pushed to `notify: true`
     /// shed requests (not counted in `completed` — their shed reply was).
     #[serde(default)]
@@ -1419,6 +1445,11 @@ pub(crate) fn prometheus_text(shared: &Shared) -> String {
         &[(global(), snap.batches)],
     );
     w.counter(
+        "concorde_batch_window_skips_total",
+        "Partial batches dispatched without holding the straggler window (no other work queued).",
+        &[(global(), snap.batch_window_skips)],
+    );
+    w.counter(
         "concorde_busy_rejected_total",
         "TCP connections turned away with a busy error.",
         &[(global(), snap.busy_rejected)],
@@ -1589,7 +1620,8 @@ fn drain_locked(shared: &Shared, q: &mut VecDeque<Job>, batch: &mut Vec<Job>, ma
 
 /// Collects one micro-batch into `batch` (cleared first): waits on the
 /// worker's own shard, drains it, steals front-first from the other shards
-/// when it comes up empty, then holds the batch open until full or
+/// when it comes up empty, then — while [`hold_for_stragglers`] says other
+/// work is queued — holds the batch open until full or
 /// [`ServeConfig::batch_deadline`] for stragglers.
 ///
 /// Leaves `batch` empty only when there was nothing to take — at shutdown
@@ -1640,12 +1672,20 @@ fn collect_batch(shared: &Shared, wid: usize, batch: &mut Vec<Job>) {
         return;
     }
     // Straggler window: keep the batch open on this worker's own shard until
-    // it fills or the deadline passes (flush-on-size-or-deadline).
+    // it fills or the deadline passes (flush-on-size-or-deadline), but only
+    // while other work is queued — re-checked on every wake-up.
     let deadline = Instant::now() + shared.cfg.batch_deadline;
     let mut q = my.q.lock().unwrap_or_else(|e| e.into_inner());
     loop {
         drain_locked(shared, &mut q, batch, shared.cfg.max_batch);
         if batch.len() >= shared.cfg.max_batch || shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        if !hold_for_stragglers(shared.queue_len.load(Ordering::SeqCst)) {
+            shared
+                .metrics
+                .batch_window_skips
+                .fetch_add(1, Ordering::Relaxed);
             return;
         }
         let now = Instant::now();
@@ -2566,6 +2606,15 @@ mod tests {
         assert!(!shed_decision(2, 500, Some(1_000), None));
         // Huge values must not overflow into a wrong answer.
         assert!(shed_decision(usize::MAX, u64::MAX, Some(u64::MAX), None));
+    }
+
+    #[test]
+    fn straggler_window_is_held_only_under_load() {
+        // Holds iff something is queued (or reserved by an in-progress
+        // push); nothing queued → dispatch at once.
+        assert!(!hold_for_stragglers(0));
+        assert!(hold_for_stragglers(1));
+        assert!(hold_for_stragglers(usize::MAX));
     }
 
     #[test]

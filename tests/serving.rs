@@ -2,10 +2,12 @@
 //! equal direct `ConcordePredictor::predict` results exactly, across mixed
 //! workloads, and the TCP protocol must round-trip.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use concorde_suite::core::cache::{sweep_content_hash, FeatureKey};
 use concorde_suite::prelude::*;
+use concorde_suite::serve::FaultPlan;
 
 /// Small but real model + profile shared by the tests (trained once).
 fn tiny_service_parts() -> (ConcordePredictor, ReproProfile) {
@@ -445,11 +447,15 @@ fn parked_requests_keep_their_ids_and_archs() {
 
 #[test]
 fn hot_cold_keys_build_before_lonely_ones() {
-    // Miss-pool prioritization: with the single pool worker pinned on a slow
+    // Miss-pool prioritization: with the single pool worker pinned on a
     // build (A), a cold key with 3 parked requests (C) must build before a
     // cold key with 1 parked request (B) submitted *earlier* — parked-count
     // order, not FIFO.
     let (model, profile) = tiny_service_parts();
+    // A's build is the pool's first and holds on the fault plan's latch, so
+    // the pool is busy while B and C queue by construction, not by A's
+    // build outlasting the submissions.
+    let plan = Arc::new(FaultPlan::default().hold_build_at(vec![1]));
     let service = PredictionService::start(
         model,
         profile,
@@ -458,23 +464,41 @@ fn hot_cold_keys_build_before_lonely_ones() {
             max_batch: 1,
             batch_deadline: Duration::from_micros(1),
             precompute_workers: 1,
+            fault_plan: Some(Arc::clone(&plan)),
             ..ServeConfig::default()
         },
     );
     let client = service.client();
-    let mut a = PredictRequest::new(0, "S5", ArchSpec::base("n1"));
-    a.len = if cfg!(debug_assertions) {
-        16_384
-    } else {
-        131_072
+    // Polls the engine until `(parked, miss_backlog)` reads `want`.
+    let wait_parked = |want: (usize, usize), what: &str| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(120);
+        loop {
+            let m = service.metrics();
+            if (m.parked, m.miss_backlog) == want {
+                return;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{what}: parked/backlog stuck at ({}, {})",
+                m.parked,
+                m.miss_backlog
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
     };
-    let a_rx = client.submit(a).unwrap();
+    let a_rx = client
+        .submit(PredictRequest::new(0, "S5", ArchSpec::base("n1")))
+        .unwrap();
+    // A parked and its build taken off the pool queue: the held build 1.
+    wait_parked((1, 0), "A's build never started");
 
-    // B first (1 waiter), then C (3 waiters on one key).
+    // B first (1 waiter), queued before any C arrives...
     let mut b = PredictRequest::new(1, "O1", ArchSpec::base("n1"));
     b.start = 65_536;
     b.len = 512;
     let b_rx = client.submit(b).unwrap();
+    wait_parked((2, 1), "B never parked");
+    // ...then C (3 waiters on one key).
     let c_rxs: Vec<_> = (0..3u64)
         .map(|i| {
             let mut c = PredictRequest::new(10 + i, "C1", ArchSpec::base("n1"));
@@ -483,10 +507,8 @@ fn hot_cold_keys_build_before_lonely_ones() {
             client.submit(c).unwrap()
         })
         .collect();
-    // Guard: the ordering below is only meaningful if the pool was still
-    // busy with A while B and C queued. A's build takes orders of magnitude
-    // longer than these submissions, so this effectively never skips.
-    let contended = service.metrics().precomputes == 0;
+    wait_parked((5, 2), "C never parked");
+    plan.release_holds();
 
     let b_resp = b_rx.recv().unwrap();
     let c_resps: Vec<PredictResponse> = c_rxs.into_iter().map(|rx| rx.recv().unwrap()).collect();
@@ -494,22 +516,20 @@ fn hot_cold_keys_build_before_lonely_ones() {
     for r in c_resps.iter().chain([&b_resp, &a_resp]) {
         assert!(r.cpi.is_some(), "id {}: {:?}", r.id, r.error);
     }
-    if contended {
-        // `micros` is enqueue→response latency; B was enqueued *before*
-        // every C, so B finishing after C implies strictly larger latency.
-        let c_max = c_resps.iter().map(|r| r.micros).max().unwrap();
-        assert!(
-            b_resp.micros > c_max,
-            "the 3-waiter key must build before the earlier 1-waiter key \
-             (B {}µs vs C max {}µs)",
-            b_resp.micros,
-            c_max
-        );
-        let m = service.metrics();
-        assert_eq!(m.coalesced, 2, "C's extra requests must coalesce");
-        assert_eq!(m.precomputes, 3, "three keys → three builds");
-        assert_eq!(m.parked, 0);
-    }
+    // `micros` is enqueue→response latency; B was enqueued *before* every
+    // C, so B finishing after C implies strictly larger latency.
+    let c_max = c_resps.iter().map(|r| r.micros).max().unwrap();
+    assert!(
+        b_resp.micros > c_max,
+        "the 3-waiter key must build before the earlier 1-waiter key \
+         (B {}µs vs C max {}µs)",
+        b_resp.micros,
+        c_max
+    );
+    let m = service.metrics();
+    assert_eq!(m.coalesced, 2, "C's extra requests must coalesce");
+    assert_eq!(m.precomputes, 3, "three keys → three builds");
+    assert_eq!(m.parked, 0);
 }
 
 #[test]
@@ -723,4 +743,96 @@ fn tcp_protocol_roundtrip() {
     assert_eq!(stats.cache.per_shard.len(), stats.cache.shard_count);
     let wl = client.workloads().unwrap();
     assert_eq!(wl.as_array().map(Vec::len), Some(suite().len()));
+}
+
+#[test]
+fn lone_requests_dispatch_without_holding_the_straggler_window() {
+    // One worker and a 60 s straggler window. A lone request — nothing else
+    // queued — must dispatch at once instead of waiting out the window. The
+    // count is exact by construction, not by timing: each client below sends
+    // its next request only after the previous answer, so the worker never
+    // sees a second job queued.
+    let (model, profile) = tiny_service_parts();
+    let direct_model = model.clone();
+    let service = Box::leak(Box::new(PredictionService::start(
+        model,
+        profile.clone(),
+        ServeConfig {
+            workers: 1,
+            batch_deadline: Duration::from_secs(60),
+            sweep: SweepScope::Quantized,
+            ..ServeConfig::default()
+        },
+    )));
+
+    // Every request hits one preloaded quantized store: a miss would add a
+    // second batch per request (its parked job's re-enqueue).
+    let sweep = SweepConfig::quantized();
+    let full = generate_region(&by_id("S5").unwrap(), 0, 0, profile.region_len);
+    let store = FeatureStore::precompute(&[], &full.instrs, &sweep, &profile);
+    let reqs: Vec<PredictRequest> = (0..32u32)
+        .map(|i| {
+            let mut spec = ArchSpec::base(if i % 2 == 0 { "n1" } else { "big" });
+            spec.rob = Some(32 + 16 * i);
+            PredictRequest::new(u64::from(i), "S5", spec)
+        })
+        .collect();
+    let expected: Vec<u64> = reqs
+        .iter()
+        .map(|r| {
+            direct_model
+                .predict(&store, &r.arch.resolve().unwrap())
+                .to_bits()
+        })
+        .collect();
+    service.preload(
+        FeatureKey {
+            workload: "S5".into(),
+            trace: 0,
+            start: 0,
+            region_len: profile.region_len as u32,
+            sweep_hash: sweep_content_hash(&sweep),
+        },
+        store,
+    );
+
+    // 16 in-process, one at a time. The receive timeout only makes a held
+    // window fail in seconds rather than after 16 windows; the skip count
+    // is what the test pins.
+    let client = service.client();
+    for (i, (req, want)) in reqs[..16].iter().zip(&expected).enumerate() {
+        let resp = client
+            .submit(req.clone())
+            .expect("in-process submit")
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a lone request waited on the straggler window");
+        assert_eq!(resp.id, req.id);
+        assert_eq!(resp.cpi.expect("cpi").to_bits(), *want, "id {}", req.id);
+        assert_eq!(service.metrics().batch_window_skips, i as u64 + 1);
+    }
+
+    // 16 over TCP, one line at a time.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let served: &PredictionService = service;
+    std::thread::spawn(move || {
+        let _ = served.serve_tcp(listener);
+    });
+    let mut tcp = TcpClient::connect(&addr).expect("connect to in-test server");
+    for (req, want) in reqs[16..].iter().zip(&expected[16..]) {
+        let resp = tcp.predict(req).expect("tcp predict");
+        assert_eq!(resp.id, req.id);
+        assert_eq!(resp.cpi.expect("cpi").to_bits(), *want, "id {}", req.id);
+    }
+
+    let m = service.metrics();
+    assert_eq!(
+        m.cache_misses, 0,
+        "every request must hit the preloaded store"
+    );
+    assert_eq!(m.batches, 32, "one batch per lone request");
+    assert_eq!(
+        m.batch_window_skips, 32,
+        "every lone request must skip the straggler window"
+    );
 }

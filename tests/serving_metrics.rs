@@ -354,6 +354,7 @@ fn http_metrics_endpoint_serves_valid_exposition() {
         ("concorde_precomputes_total", "counter"),
         ("concorde_shed_build_skips_total", "counter"),
         ("concorde_batches_total", "counter"),
+        ("concorde_batch_window_skips_total", "counter"),
         ("concorde_busy_rejected_total", "counter"),
         ("concorde_cache_hits_total", "counter"),
         ("concorde_cache_misses_total", "counter"),
